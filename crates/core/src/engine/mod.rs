@@ -6,7 +6,7 @@
 //! field generation, codec round-trips, plan lowering and execution on the
 //! fleet executor, shard planning, and report aggregation. The one-shot
 //! [`crate::campaign::CampaignSpec::run`] is a thin wrapper over
-//! [`run_campaign`]; a long-lived caller instead holds an [`Engine`] and
+//! `run_campaign`; a long-lived caller instead holds an [`Engine`] and
 //! feeds it [`AssessRequest`]s — gaining two things a one-shot run cannot
 //! have:
 //!

@@ -2,9 +2,11 @@
 //!
 //! This is the "GPU module coordinator" of §III-A: it classifies the
 //! requested metrics by pattern and invokes the corresponding *fused*
-//! kernel once per pattern (pattern 2: once per stride, the stride-1 launch
-//! carrying the derivative metrics), collecting counters, occupancy
-//! profiles (Table II) and modeled times (Figs. 10–12).
+//! kernel once per pattern, collecting counters, occupancy profiles
+//! (Table II) and modeled times (Figs. 10–12). Pattern 2 is modeled as one
+//! launch per stride, the stride-1 launch carrying the derivative metrics;
+//! on the host its fast path computes every lag in the stride-1 launch's
+//! one traversal while the other strides only charge.
 
 use super::{AssessError, Assessment, Executor};
 use crate::config::AssessConfig;
@@ -105,19 +107,14 @@ impl PassBackend for CuZc {
                 ex
             }
             // ---- pattern 2: one fused stencil launch per stride ----------
+            // Every stride is launched and charged. On the fast path the
+            // stride-1 launch computes every lag's values in one host
+            // traversal and the others only charge; the reference path
+            // computes each stride in its own launch.
             PassKind::P2Stencil => {
                 let mut stats = P2Stats::identity(cfg.max_lag);
                 let mut stride_tiles = Vec::new();
-                for stride in 1..=cfg.max_lag {
-                    let k = P2FusedKernel {
-                        fields: f,
-                        stride,
-                        mean_e: ctx.p1().mean_e(),
-                        max_lag: cfg.max_lag,
-                        derivatives: stride == 1,
-                        autocorr: true,
-                        cooperative: true,
-                    };
+                for k in P2FusedKernel::pass(f, ctx.p1().mean_e(), cfg.max_lag) {
                     let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
                     launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                     stats.combine(&r.output);
@@ -214,6 +211,7 @@ impl Executor for CuZc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TilingPolicy;
     use crate::exec::SerialZc;
     use crate::metrics::Pattern;
     use zc_tensor::{Shape, Tensor};
@@ -273,30 +271,54 @@ mod tests {
     #[test]
     fn reference_path_executor_is_identical() {
         let (orig, dec) = fields();
-        let cfg = AssessConfig::default();
-        let fast = CuZc::default().assess(&orig, &dec, &cfg).unwrap();
-        let refr = CuZc {
-            reference_path: true,
-            ..Default::default()
+        // Monolithic and slab-tiled: the grouped P2 lags must match the
+        // per-stride reference launches either way.
+        for tiling in [TilingPolicy::Monolithic, TilingPolicy::Slabs(3)] {
+            let cfg = AssessConfig {
+                tiling,
+                ..Default::default()
+            };
+            let fast = CuZc::default().assess(&orig, &dec, &cfg).unwrap();
+            let refr = CuZc {
+                reference_path: true,
+                ..Default::default()
+            }
+            .assess(&orig, &dec, &cfg)
+            .unwrap();
+            // Same outputs, same counters, same modeled time — only the host
+            // wall-clock may differ.
+            assert_eq!(fast.counters, refr.counters, "{tiling:?}");
+            assert_eq!(fast.modeled_seconds, refr.modeled_seconds, "{tiling:?}");
+            assert_eq!(
+                fast.report.p1.psnr_db().to_bits(),
+                refr.report.p1.psnr_db().to_bits()
+            );
+            let (fh, rh) = (
+                fast.report.histograms.unwrap(),
+                refr.report.histograms.unwrap(),
+            );
+            assert_eq!(fh.err_pdf.counts(), rh.err_pdf.counts());
+            let (fst, rst) = (fast.report.stencil.unwrap(), refr.report.stencil.unwrap());
+            let bits = |st: &crate::report::StencilReport| {
+                let mut b = vec![
+                    st.avg_gradient_orig.to_bits(),
+                    st.avg_gradient_dec.to_bits(),
+                    st.max_gradient_orig.to_bits(),
+                    st.gradient_mse.to_bits(),
+                    st.avg_divergence.0.to_bits(),
+                    st.avg_divergence.1.to_bits(),
+                    st.avg_laplacian.0.to_bits(),
+                    st.avg_laplacian.1.to_bits(),
+                ];
+                b.extend(st.autocorr.values.iter().map(|v| v.to_bits()));
+                b
+            };
+            assert_eq!(fst.autocorr.values.len(), cfg.max_lag, "{tiling:?}");
+            assert_eq!(bits(&fst), bits(&rst), "{tiling:?}: stencil bits differ");
+            let (fs, rs) = (fast.report.ssim.unwrap(), refr.report.ssim.unwrap());
+            assert_eq!(fs.windows, rs.windows);
+            assert_eq!(fs.mean_ssim.to_bits(), rs.mean_ssim.to_bits());
         }
-        .assess(&orig, &dec, &cfg)
-        .unwrap();
-        // Same outputs, same counters, same modeled time — only the host
-        // wall-clock may differ.
-        assert_eq!(fast.counters, refr.counters);
-        assert_eq!(fast.modeled_seconds, refr.modeled_seconds);
-        assert_eq!(
-            fast.report.p1.psnr_db().to_bits(),
-            refr.report.p1.psnr_db().to_bits()
-        );
-        let (fh, rh) = (
-            fast.report.histograms.unwrap(),
-            refr.report.histograms.unwrap(),
-        );
-        assert_eq!(fh.err_pdf.counts(), rh.err_pdf.counts());
-        let (fs, rs) = (fast.report.ssim.unwrap(), refr.report.ssim.unwrap());
-        assert_eq!(fs.windows, rs.windows);
-        assert_eq!(fs.mean_ssim.to_bits(), rs.mean_ssim.to_bits());
     }
 
     #[test]

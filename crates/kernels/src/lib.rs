@@ -6,9 +6,9 @@
 //! * [`P1FusedKernel`] / [`P1HistKernel`] — pattern 1, the fused global
 //!   reduction of Algorithm 1 (all 14+ scalar metrics from one read, plus
 //!   the fused three-histogram pass);
-//! * [`P2FusedKernel`] — pattern 2, the shared-memory stencil cubes of
+//! * [`P2FusedKernel`] — pattern 2, the shared-memory stencil tiles of
 //!   Algorithm 2 (derivatives + divergence + Laplacian + autocorrelation
-//!   from one cube load per stride);
+//!   from one tile load per stride);
 //! * [`SsimFusedKernel`] — pattern 3, the sliding-window SSIM of
 //!   Algorithm 3 with the shared-memory **FIFO buffer** (every z-slice read
 //!   from global memory exactly once);
@@ -46,7 +46,9 @@ use zc_tensor::{Shape, Tensor};
 /// batched counter accounting); `run_block_reference` is the original
 /// per-lane/per-access implementation. Both must produce the same partial
 /// and charge the same counter totals — the differential property tests
-/// launch each kernel through [`Reference`] and compare.
+/// launch each kernel through [`Reference`] and compare. [`P2FusedKernel`]
+/// relaxes the partial to its pass: its fast stride-1 launch computes the
+/// values of every stride's launch (see [`P2FusedKernel::stride`]).
 pub trait HasReferencePath: BlockKernel {
     /// Run one block through the scalar reference implementation.
     fn run_block_reference(&self, block: usize, ctx: &mut BlockCtx) -> Self::Partial;

@@ -12,9 +12,14 @@
 //! * the lag-`stride` autocorrelation terms of the error field
 //!   (when `autocorr`).
 //!
-//! The executor launches the kernel once per stride 1..=MAXLAG; stride 1
-//! also carries the derivative metrics (the paper's `stride` doubles as
-//! derivative order and autocorrelation gap).
+//! A pattern-2 pass is MAXLAG launches, one per stride 1..=MAXLAG
+//! ([`P2FusedKernel::pass`]); stride 1 also carries the derivative metrics
+//! (the paper's `stride` doubles as derivative order and autocorrelation
+//! gap). Every launch is charged as its own stride's kernel. On the host the
+//! fast path shares one traversal between them: the stride-1 launch
+//! computes the terms of every lag, and the other strides only charge. The
+//! per-access reference path computes each stride in its own launch, so the
+//! two paths agree launch by launch on charges and pass by pass on values.
 
 use crate::acc::{deriv1_nd, deriv2_nd, grad_mag, P2Stats};
 use crate::{FieldPair, HasReferencePath};
@@ -31,7 +36,10 @@ const P2_WARPS: usize = TILE * TILE / WARP;
 pub struct P2FusedKernel<'a> {
     /// The field pair under assessment.
     pub fields: FieldPair<'a>,
-    /// Autocorrelation spatial gap τ (and derivative-launch marker).
+    /// Autocorrelation spatial gap τ (and derivative-launch marker). On the
+    /// fast path the stride-1 launch computes the autocorrelation terms of
+    /// every lag 1..=`max_lag`, and a launch at any other stride only
+    /// charges: it returns an identity partial without touching field data.
     pub stride: usize,
     /// Mean of the error field (from the pattern-1 pass) — Eq. 2's μ.
     pub mean_e: f64,
@@ -46,7 +54,23 @@ pub struct P2FusedKernel<'a> {
     pub cooperative: bool,
 }
 
-impl P2FusedKernel<'_> {
+impl<'a> P2FusedKernel<'a> {
+    /// The launches of one pattern-2 pass: strides 1..=`max_lag`, the
+    /// stride-1 launch carrying the derivative metrics.
+    pub fn pass(fields: FieldPair<'a>, mean_e: f64, max_lag: usize) -> Vec<Self> {
+        (1..=max_lag)
+            .map(|stride| P2FusedKernel {
+                fields,
+                stride,
+                mean_e,
+                max_lag,
+                derivatives: stride == 1,
+                autocorr: true,
+                cooperative: true,
+            })
+            .collect()
+    }
+
     /// Grid size: one block per z plane (× the 4th dimension).
     pub fn grid(&self) -> usize {
         let s = self.fields.shape;
@@ -74,6 +98,78 @@ impl P2FusedKernel<'_> {
     fn tile_width(&self) -> usize {
         let hi = if self.autocorr { self.stride.max(1) } else { 1 };
         TILE + 1 + hi
+    }
+
+    /// The closed-form charges of the staged tile `(tx, ty)` of a block
+    /// whose plane has `n_slices` in-range staged slices: the staging
+    /// traffic, a barrier, the per-point shared gets, flops and special-unit
+    /// ops of the tile's derivative and autocorrelation points, a barrier.
+    /// The totals equal what the reference charges one access at a time.
+    ///
+    /// Staging: the valid x-run is the same for every row of the tile, the
+    /// valid rows depend only on `ty`, and fresh global columns are
+    /// everything for the row's first tile, at most TILE new columns
+    /// afterwards (sliding-tile halo reuse). A derivative point makes
+    /// 2 fields × (4·axes + 1) shared gets, 54 flops and 2 sqrt; an
+    /// autocorrelation point makes 2·(1 + axes) shared gets and 12 flops.
+    fn charge_tile(
+        &self,
+        ctx: &mut BlockCtx,
+        (tx, ty): (usize, usize),
+        n_slices: u64,
+        deriv_plane: bool,
+        ac_plane: bool,
+    ) {
+        let s = self.fields.shape;
+        let ndim = s.ndim();
+        let (nx, ny) = (s.nx(), s.ny());
+        let (tau, wdt) = (self.stride, self.tile_width());
+        let axes = ndim.min(3) as u64;
+        let (tx0, ty0) = (tx * TILE, ty * TILE);
+
+        let n_rows = wdt.min(ny + 1 - ty0).saturating_sub(usize::from(ty0 == 0)) as u64;
+        let valid = wdt.min(nx + 1 - tx0).saturating_sub(usize::from(tx0 == 0)) as u64;
+        let fresh = if tx == 0 {
+            valid
+        } else {
+            valid.min(TILE as u64)
+        };
+        ctx.charge_shared(2 * n_slices * n_rows * valid);
+        ctx.g_read_raw(2 * 4 * n_slices * n_rows * fresh);
+        ctx.sync_threads();
+
+        // Point counts: derivative points need x ∈ [1, nx−1) (and
+        // y ∈ [1, ny−1) from 2-D up); autocorrelation points need
+        // x + τ < nx (and y + τ < ny).
+        let y_end = (ty0 + TILE).min(ny);
+        let n_deriv = if deriv_plane {
+            let cols = TILE.min(nx - 1 - tx0).saturating_sub(usize::from(tx0 == 0));
+            let rows = if ndim >= 2 {
+                y_end.min(ny - 1).saturating_sub(ty0.max(1))
+            } else {
+                y_end - ty0
+            };
+            (rows * cols) as u64
+        } else {
+            0
+        };
+        let n_ac = if ac_plane {
+            let cols = TILE.min((nx - tx0).saturating_sub(tau));
+            let rows = if ndim >= 2 {
+                y_end.min(ny.saturating_sub(tau)).saturating_sub(ty0)
+            } else {
+                y_end - ty0
+            };
+            (rows * cols) as u64
+        } else {
+            0
+        };
+        ctx.charge_shared(n_deriv * 2 * (4 * axes + 1));
+        ctx.flops(n_deriv * (2 * (6 + 9) + 24));
+        ctx.special(n_deriv * 2);
+        ctx.charge_shared(n_ac * 2 * (1 + axes));
+        ctx.flops(n_ac * 12);
+        ctx.sync_threads();
     }
 }
 
@@ -133,74 +229,70 @@ impl BlockKernel for P2FusedKernel<'_> {
             return stats;
         }
 
-        // Active stencil axes (x, then y for 2-D, then z for 3-D): the
-        // per-point shared-read totals charged in bulk below depend on it.
-        let axes = ndim.min(3) as u64;
-
         // The real kernel stages tiles into shared memory. The fast path
         // keeps the allocation (footprint parity) and charges the exact
-        // per-element staging traffic in closed form below, but reads the
-        // very same f32 values straight from the global arrays — identical
-        // inputs, so bit-identical results, without the physical copies.
+        // per-element staging traffic in closed form (`charge_tile`), but
+        // reads the very same f32 values straight from the global arrays —
+        // identical inputs, so bit-identical results, without the physical
+        // copies.
         let _shared: SharedBuf<f32> = ctx.shared_alloc(2 * offs.len() * wdt * wdt);
 
         let tiles_x = nx.div_ceil(TILE);
         let tiles_y = ny.div_ceil(TILE);
         ctx.note_iters((tiles_x * tiles_y * (offs.len() + 1)) as u64);
+        let n_slices = offs
+            .iter()
+            .filter(|&&dz| (0..nz as isize).contains(&(z0 as isize + dz)))
+            .count() as u64;
+
+        // Only the stride-1 launch touches field data: it computes every
+        // lag whose `+τ` plane exists (all of them below 3-D); the other
+        // strides' values are already in its partial.
+        let values = tau == 1;
+        let lags = if self.autocorr && values {
+            1..(self.max_lag + 1).min(if ndim >= 3 { nz - z0 } else { usize::MAX })
+        } else {
+            1..1
+        };
 
         // Global row base of (y, z).
         let grow = |y: usize, z: usize| s.linear([0, y, z, w4]);
+        let og = self.fields.orig;
+        let dg = self.fields.dec;
+
+        // The block's centred error plane e(x, y, z0) − μ, computed once
+        // and shared by every lag (host scratch; the modeled kernel reads
+        // it from the staged tiles, as charged). Each value is the exact
+        // expression the per-stride traversal evaluates in place.
+        let e_plane: Vec<f64> = if lags.is_empty() {
+            Vec::new()
+        } else {
+            let p0 = grow(0, z0);
+            og[p0..p0 + nx * ny]
+                .iter()
+                .zip(&dg[p0..p0 + nx * ny])
+                .map(|(&o, &d)| o as f64 - d as f64 - self.mean_e)
+                .collect()
+        };
 
         for ty in 0..tiles_y {
             for tx in 0..tiles_x {
+                self.charge_tile(ctx, (tx, ty), n_slices, deriv_plane, ac_plane);
+                if !values {
+                    continue;
+                }
                 // Tile anchor: coverage is [tx0-1, tx0+TILE+hi) per axis.
                 let tx0 = tx * TILE;
                 let ty0 = ty * TILE;
 
-                // ---- shared-staging accounting (no physical copy) ------
-                // Every staged element's traffic, in closed form: the valid
-                // x-run is the same for every row of the tile, the valid
-                // rows and slices depend only on (ty0, z0), and fresh global
-                // columns are everything for the row's first tile, at most
-                // TILE new columns afterwards (sliding-tile halo reuse) —
-                // identical totals to the reference's per-element charges.
-                let n_slices = offs
-                    .iter()
-                    .filter(|&&dz| {
-                        let z = z0 as isize + dz;
-                        z >= 0 && z < nz as isize
-                    })
-                    .count() as u64;
-                let n_rows = {
-                    let lo = if ty0 == 0 { 1 } else { 0 };
-                    let hi = wdt.min(ny + 1 - ty0);
-                    hi.saturating_sub(lo) as u64
-                };
-                let valid = {
-                    let lo = if tx0 == 0 { 1 } else { 0 };
-                    let hi = wdt.min(nx + 1 - tx0);
-                    hi.saturating_sub(lo) as u64
-                };
-                let fresh = if tx == 0 {
-                    valid
-                } else {
-                    valid.min(TILE as u64)
-                };
-                ctx.charge_shared(2 * n_slices * n_rows * valid);
-                ctx.g_read_raw(2 * 4 * n_slices * n_rows * fresh);
-                ctx.sync_threads();
-
                 // ---- per-point computation from global memory ----------
-                // Same f32 inputs the staged tile would hold; the
-                // shared-get, flop and special-unit totals are charged in
-                // bulk per tile from the deriv/ac point counts. Derivative
-                // and autocorr points form contiguous x-runs, so the two
-                // families split into separate row loops with hoisted row
+                // Same f32 inputs the staged tile would hold. Derivative
+                // and autocorr points form contiguous x-runs, so each family
+                // (and each lag) runs its own row loops with hoisted row
                 // bases — each statistic still absorbs its points in the
-                // same (y, x) order as the reference, keeping values
+                // same (tile, y, x) order as the reference, keeping values
                 // bit-identical (absorb_deriv and absorb_ac_nd touch
-                // disjoint fields).
-                let (mut n_deriv, mut n_ac) = (0u64, 0u64);
+                // disjoint fields, and every lag has its own accumulator).
                 if deriv_plane {
                     // Interior x-run of this tile: x ∈ [1, nx−1).
                     let lx_lo = if tx0 == 0 { 1 } else { 0 };
@@ -231,8 +323,7 @@ impl BlockKernel for P2FusedKernel<'_> {
                         let mut gq = [[0f64; TILE]; 2];
                         let mut dvq = [[0f64; TILE]; 2];
                         let mut lpq = [[0f64; TILE]; 2];
-                        for (f, arr) in [self.fields.orig, self.fields.dec].into_iter().enumerate()
-                        {
+                        for (f, arr) in [og, dg].into_iter().enumerate() {
                             for i in 0..cnt {
                                 let x = tx0 + lx_lo + i;
                                 // Constant (dx, dy, dz) fold the base select
@@ -271,62 +362,70 @@ impl BlockKernel for P2FusedKernel<'_> {
                             stats.sum_lap_x += lpq[0][i];
                             stats.sum_lap_y += lpq[1][i];
                         }
-                        n_deriv += cnt as u64;
                     }
                 }
-                if ac_plane {
+                for lag in lags.clone() {
                     // Autocorr x-run of this tile: x + τ < nx.
-                    let lx_hi = TILE.min((nx - tx0).saturating_sub(tau));
+                    let lx_hi = TILE.min((nx - tx0).saturating_sub(lag));
+                    if lx_hi == 0 {
+                        continue;
+                    }
                     for ly in 0..TILE {
                         let y = ty0 + ly;
                         if y >= ny {
                             break;
                         }
-                        if ndim >= 2 && y + tau >= ny {
+                        if ndim >= 2 && y + lag >= ny {
                             continue;
                         }
-                        let r0 = grow(y, z0);
-                        let ry = if ndim >= 2 { grow(y + tau, z0) } else { r0 };
-                        let rz = if ndim >= 3 { grow(y, z0 + tau) } else { r0 };
+                        // x and y neighbours come from the error plane; the
+                        // z0+τ neighbour row is read from the global arrays.
+                        let ec = &e_plane[y * nx + tx0..][..lx_hi];
+                        let ex = &e_plane[y * nx + tx0 + lag..][..lx_hi];
+                        let ey = if ndim >= 2 {
+                            &e_plane[(y + lag) * nx + tx0..][..lx_hi]
+                        } else {
+                            ec
+                        };
+                        let mut ez = [0f64; TILE];
+                        if ndim >= 3 {
+                            let r = grow(y, z0 + lag) + tx0;
+                            let (oz, dz) = (&og[r..r + lx_hi], &dg[r..r + lx_hi]);
+                            for ((e, &o), &d) in ez.iter_mut().zip(oz).zip(dz) {
+                                *e = o as f64 - d as f64 - self.mean_e;
+                            }
+                        }
                         // Elementwise pass, then in-order accumulation (see
                         // the derivative loop). The neighbour sum starts
                         // from 0.0 and adds x, y, z in that order — the
                         // exact association `absorb_ac_nd`'s `iter().sum()`
                         // uses, so every term is bit-identical.
-                        let og = self.fields.orig;
-                        let dg = self.fields.dec;
-                        let kf = axes as f64;
+                        let kf = ndim.min(3) as f64;
                         let mut terms = [0f64; TILE];
-                        for (i, t) in terms[..lx_hi].iter_mut().enumerate() {
-                            let x = tx0 + i;
-                            let e = |r: usize| og[r + x] as f64 - dg[r + x] as f64 - self.mean_e;
-                            let e0 = e(r0);
-                            let mut sum = 0.0 + e(r0 + tau);
-                            if ndim >= 2 {
-                                sum += e(ry);
+                        let t = &mut terms[..lx_hi];
+                        match ndim {
+                            1 => {
+                                for i in 0..lx_hi {
+                                    t[i] = ec[i] * (0.0 + ex[i]) / kf;
+                                }
                             }
-                            if ndim >= 3 {
-                                sum += e(rz);
+                            2 => {
+                                for i in 0..lx_hi {
+                                    t[i] = ec[i] * (0.0 + ex[i] + ey[i]) / kf;
+                                }
                             }
-                            *t = e0 * sum / kf;
+                            _ => {
+                                for i in 0..lx_hi {
+                                    t[i] = ec[i] * (0.0 + ex[i] + ey[i] + ez[i]) / kf;
+                                }
+                            }
                         }
                         for &t in &terms[..lx_hi] {
-                            stats.ac_num[tau - 1] += t;
+                            stats.ac_num[lag - 1] += t;
                         }
-                        stats.ac_n[tau - 1] += lx_hi as u64;
-                        n_ac += lx_hi as u64;
+                        stats.ac_n[lag - 1] += lx_hi as u64;
                     }
                 }
-                // Bulk charges: a deriv point makes 2 fields × (4·axes + 1)
-                // shared gets, 54 flops and 2 sqrt; an ac point makes
-                // 2·(1 + axes) shared gets and 12 flops — exactly what the
-                // reference charges one access at a time.
-                ctx.charge_shared(n_deriv * 2 * (4 * axes + 1));
-                ctx.flops(n_deriv * (2 * (6 + 9) + 24));
-                ctx.special(n_deriv * 2);
-                ctx.charge_shared(n_ac * 2 * (1 + axes));
-                ctx.flops(n_ac * 12);
-                ctx.sync_threads();
             }
         }
 
@@ -608,18 +707,8 @@ mod tests {
         }
         let sim = GpuSim::v100();
         let mut acc = P2Stats::identity(max_lag);
-        for stride in 1..=max_lag {
-            let k = P2FusedKernel {
-                fields: FieldPair::new(orig, dec),
-                stride,
-                mean_e: p1.mean_e(),
-                max_lag,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
-            };
-            let r = sim.launch(&k, k.grid());
-            acc.combine(&r.output);
+        for k in P2FusedKernel::pass(FieldPair::new(orig, dec), p1.mean_e(), max_lag) {
+            acc.combine(&sim.launch(&k, k.grid()).output);
         }
         acc
     }

@@ -163,16 +163,7 @@ mod tests {
         let scalars = sim.launch(&p1, p1.grid()).output;
         let max_lag = 2;
         let (mut bytes, mut flops, mut launches) = (0u64, 0u64, 0u64);
-        for stride in 1..=max_lag {
-            let k = P2FusedKernel {
-                fields,
-                stride,
-                mean_e: scalars.mean_e(),
-                max_lag,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
-            };
+        for k in P2FusedKernel::pass(fields, scalars.mean_e(), max_lag) {
             let r = sim.launch(&k, k.grid());
             bytes += r.counters.global_read_bytes;
             flops += r.counters.lane_flops;

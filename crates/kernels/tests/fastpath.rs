@@ -2,15 +2,17 @@
 //!
 //! Every kernel that carries a scalar reference implementation
 //! ([`zc_kernels::HasReferencePath`]) must produce **identical** outputs and
-//! **identical** counter totals when launched through [`Reference`] — across
+//! **identical** counter totals when launched through [`Reference`] (pattern
+//! 2 shares host work across its stride launches, so its outputs agree per
+//! pass and its counters per launch) — across
 //! random shapes, including ragged extents not divisible by the warp width,
 //! 1D/2D/3D fields, and fields containing exact zeros (the rel-error guard).
 
-use zc_gpusim::GpuSim;
+use zc_gpusim::{GpuSim, TileCharge};
 use zc_kernels::mo::{MoAutocorrKernel, MoHistKernel, MoHistKind, MoP1Kernel, MoP1Metric};
 use zc_kernels::p3::SsimParams;
 use zc_kernels::{
-    FieldPair, HasReferencePath, P1FusedKernel, P1HistKernel, P2FusedKernel, Reference,
+    FieldPair, HasReferencePath, P1FusedKernel, P1HistKernel, P2FusedKernel, P2Stats, Reference,
     SsimFusedKernel,
 };
 use zc_tensor::{Shape, Tensor};
@@ -144,22 +146,89 @@ fn p1_hist_fast_path_matches_reference() {
     }
 }
 
+/// Every accumulator of a [`P2Stats`] as raw bits (`==` on f64 would let
+/// a signed zero or a NaN through).
+fn p2_bits(s: &P2Stats) -> Vec<u64> {
+    let mut bits = vec![
+        s.n_interior,
+        s.sum_grad_x.to_bits(),
+        s.max_grad_x.to_bits(),
+        s.sum_grad_y.to_bits(),
+        s.max_grad_y.to_bits(),
+        s.sum_grad_err2.to_bits(),
+        s.sum_div_x.to_bits(),
+        s.sum_div_y.to_bits(),
+        s.sum_lap_x.to_bits(),
+        s.sum_lap_y.to_bits(),
+    ];
+    bits.extend(s.ac_num.iter().map(|v| v.to_bits()));
+    bits.extend(&s.ac_n);
+    bits
+}
+
+fn assert_tiles_equal(a: &[TileCharge], b: &[TileCharge], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: slab counts differ");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.block_start, y.block_start, "{what}: slab {i}");
+        assert_eq!(x.blocks, y.blocks, "{what}: slab {i}");
+        assert_eq!(x.counters, y.counters, "{what}: slab {i} counters");
+        assert_eq!(
+            x.seconds.to_bits(),
+            y.seconds.to_bits(),
+            "{what}: slab {i} seconds"
+        );
+    }
+}
+
+/// Pattern 2 shares host work across a pass: the fast stride-1 launch
+/// computes every lag and the other strides only charge, while the
+/// reference computes each stride in its own launch. Each fast launch must
+/// charge exactly what the reference launch of its stride charges, slab by
+/// slab, and the pass must fold to bit-identical statistics.
 #[test]
 fn p2_fused_fast_path_matches_reference() {
     let mut rng = Rng(4);
-    for shape in shapes(&mut rng) {
+    let mut cases = shapes(&mut rng);
+    cases.extend([
+        Shape::d4(rng.range(17, 40), rng.range(3, 14), rng.range(2, 5), 3),
+        Shape::d3(rng.range(33, 70), 4, 3), // ny, nz ≤ max_lag
+        Shape::d2(rng.range(20, 50), 2),
+        Shape::d3(9, 9, 12), // nx, ny below the widest lag
+    ]);
+    let sim = GpuSim::v100();
+    for shape in cases {
         let (orig, dec) = fields(shape, &mut rng);
-        for stride in 1..=3usize {
-            let k = P2FusedKernel {
-                fields: FieldPair::new(&orig, &dec),
-                stride,
-                mean_e: 1.5e-4,
-                max_lag: 3,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
-            };
-            assert_paths_agree(&k, k.grid(), &format!("p2 {shape:?} stride {stride}"));
+        let f = FieldPair::new(&orig, &dec);
+        // The pair's own error mean: a round constant would leave every
+        // centred error with the same low bits and hide reassociation.
+        let p1 = P1FusedKernel { fields: f };
+        let mean_e = sim.launch(&p1, p1.grid()).output.mean_e();
+        for max_lag in [1usize, 3, 10] {
+            let (mut got, mut want) = (P2Stats::identity(max_lag), P2Stats::identity(max_lag));
+            for k in P2FusedKernel::pass(f, mean_e, max_lag) {
+                let what = format!("p2 {shape:?} max_lag {max_lag} stride {}", k.stride);
+                let grid = k.grid();
+                let fast = sim.launch(&k, grid);
+                let refr = sim.launch(&Reference(&k), grid);
+                assert_eq!(fast.counters, refr.counters, "{what}: counters diverge");
+                assert_eq!(
+                    fast.modeled.total_s.to_bits(),
+                    refr.modeled.total_s.to_bits(),
+                    "{what}: modeled times diverge"
+                );
+                for slabs in [1usize, 3, shape.nz()] {
+                    let (_, ft) = sim.launch_tiled(&k, grid, slabs);
+                    let (_, rt) = sim.launch_tiled(&Reference(&k), grid, slabs);
+                    assert_tiles_equal(&ft, &rt, &format!("{what} slabs {slabs}"));
+                }
+                got.combine(&fast.output);
+                want.combine(&refr.output);
+            }
+            assert_eq!(
+                p2_bits(&got),
+                p2_bits(&want),
+                "p2 {shape:?} max_lag {max_lag}: pass statistics drifted"
+            );
         }
     }
 }

@@ -154,24 +154,53 @@ fn p1_hist_is_sanitizer_clean_both_paths() {
     }
 }
 
+/// Every launch of a pattern-2 pass is clean on both paths. On the fast
+/// path (stride 1 computes every lag, the other strides only charge) it is
+/// also clean slab by slab: no charge mismatch, no footprint overflow. A
+/// charge-only launch touches no field data but still allocates exactly the
+/// shared footprint its reference launch allocates.
 #[test]
 fn p2_fused_is_sanitizer_clean_both_paths() {
     let mut rng = Rng(0x5A13);
+    let sim = GpuSim::v100();
     for shape in shapes(&mut rng) {
         let (orig, dec) = fields(shape, &mut rng);
-        for stride in 1..=2usize {
-            let k = P2FusedKernel {
-                fields: FieldPair::new(&orig, &dec),
-                stride,
-                mean_e: 1.5e-4,
-                max_lag: 3,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
-            };
-            let what = format!("p2 {shape:?} stride {stride}");
-            assert_clean_and_observation_only(&k, k.grid(), &format!("{what} fast"));
-            assert_clean_and_observation_only(&Reference(&k), k.grid(), &format!("{what} ref"));
+        let f = FieldPair::new(&orig, &dec);
+        for max_lag in [3usize, 10] {
+            for k in P2FusedKernel::pass(f, 1.5e-4, max_lag) {
+                let what = format!("p2 {shape:?} max_lag {max_lag} stride {}", k.stride);
+                assert_clean_and_observation_only(&k, k.grid(), &format!("{what} fast"));
+                assert_clean_and_observation_only(&Reference(&k), k.grid(), &format!("{what} ref"));
+                for slabs in [1usize, 3, shape.nz()] {
+                    let (_, _, report) = sim.launch_tiled_checked(&k, k.grid(), slabs);
+                    assert!(
+                        !report.has(Hazard::ChargeMismatch) && !report.has(Hazard::SmemOverflow),
+                        "{what} slabs {slabs}:\n{}",
+                        report.render()
+                    );
+                    assert!(
+                        report.is_clean(),
+                        "{what} slabs {slabs}:\n{}",
+                        report.render()
+                    );
+                }
+                let mut allocated = 0;
+                for b in 0..k.grid() {
+                    let (mut fast, mut refr) = (BlockCtx::new(), BlockCtx::new());
+                    k.run_block(b, &mut fast);
+                    Reference(&k).run_block(b, &mut refr);
+                    assert_eq!(fast.shared_bytes(), refr.shared_bytes(), "{what} block {b}");
+                    assert!(fast.shared_bytes() <= k.resources().smem_per_block as usize);
+                    allocated += fast.shared_bytes();
+                }
+                // Blocks with no output point return before allocating.
+                let has_points = shape.ndim() < 3 || k.stride < shape.nz();
+                assert_eq!(
+                    allocated > 0,
+                    has_points,
+                    "{what}: {allocated} shared bytes"
+                );
+            }
         }
     }
 }
