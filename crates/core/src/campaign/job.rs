@@ -13,8 +13,9 @@ use zc_tensor::{Shape, Tensor};
 
 /// A catalog field by reference: dataset + roster index + generation
 /// options (+ an optional time-series extent). Cheap to clone; the data is
-/// synthesized on demand.
-#[derive(Clone, Debug)]
+/// synthesized on demand, as a pure function of these fields — so equal
+/// references always generate bit-identical data.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FieldRef {
     /// Source dataset.
     pub dataset: AppDataset,

@@ -232,6 +232,16 @@ impl ResultCache {
         }
     }
 
+    /// Would [`ResultCache::lookup`] answer this key as a full hit right
+    /// now? A read-only peek: no clock tick, no stats, no LRU touch, so
+    /// any number of peeks leaves every later lookup and eviction exactly
+    /// as if none had happened.
+    pub fn covers(&self, key: &CacheKey, needed: &[PassKind]) -> bool {
+        self.map
+            .get(key)
+            .is_some_and(|e| needed.iter().all(|&k| e.covers(k)))
+    }
+
     /// Absorb a computed report: merge its sections into the existing
     /// entry (a residual run fills exactly the sections the entry lacked)
     /// or insert a new one, then return the merged report — the report a
@@ -421,6 +431,34 @@ mod tests {
             Lookup::Full(_)
         ));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn peeks_change_neither_stats_nor_the_eviction_victim() {
+        let fields: Vec<_> = (0..3).map(|i| field(i as f32)).collect();
+        let reports: Vec<_> = fields.iter().map(report_for).collect();
+        let keys: Vec<_> = fields.iter().map(key_for).collect();
+        let fill = |cache: &mut ResultCache| {
+            cache.absorb(keys[0].clone(), &reports[0].0, reports[0].1);
+            cache.absorb(keys[1].clone(), &reports[1].0, reports[1].1);
+        };
+        let (mut peeked, mut plain) = (ResultCache::new(2), ResultCache::new(2));
+        fill(&mut peeked);
+        fill(&mut plain);
+        // Key 0 is the LRU entry; peek it (and the absent key 2) hard.
+        let needed = [PassKind::P1Scalars, PassKind::P2Stencil];
+        for _ in 0..5 {
+            assert!(peeked.covers(&keys[0], &needed));
+            assert!(!peeked.covers(&keys[2], &needed));
+        }
+        assert_eq!(peeked.stats(), plain.stats());
+        // The next absorb must evict the same victim in both caches.
+        for cache in [&mut peeked, &mut plain] {
+            cache.absorb(keys[2].clone(), &reports[2].0, reports[2].1);
+            assert!(cache.stats_of(&keys[0]).is_none(), "key 0 stays the victim");
+            assert!(cache.stats_of(&keys[1]).is_some());
+        }
+        assert_eq!(peeked.stats(), plain.stats());
     }
 
     #[test]

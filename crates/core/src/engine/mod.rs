@@ -22,8 +22,9 @@
 //!
 //! The engine is deterministic end to end: ticket order is submission
 //! order, batch execution is sequential in ticket order (field generation
-//! is host-parallel but index-ordered), and the cache's LRU clock is
-//! logical. Results are independent of `ZC_PAR_THREADS`.
+//! is host-parallel but index-ordered, and skipped for fields the cache
+//! answers outright), and the cache's LRU clock is logical. Results are
+//! independent of `ZC_PAR_THREADS`.
 
 mod cache;
 mod calibrate;
@@ -40,7 +41,6 @@ use crate::exec::{Confidence, Executor, MultiCuZc, PatternTimes};
 use crate::plan::{estimate_job_cost, resolve_slabs, verify, AssessPlan, BackendCaps, PassKind};
 use std::collections::HashMap;
 use zc_compress::CompressorSpec;
-use zc_data::AppDataset;
 use zc_tensor::Tensor;
 
 /// Default result-cache capacity (entries).
@@ -143,6 +143,9 @@ pub struct BatchReport {
     pub fleet: FleetUtilization,
     /// Cumulative cache counters after the batch.
     pub cache: CacheStats,
+    /// Distinct fields this batch generated (fields whose every request
+    /// the cache answered are not generated).
+    pub fields_generated: usize,
 }
 
 /// A resident assessment session: a fleet, its calibrated cost model, and
@@ -156,6 +159,8 @@ pub struct Engine {
     caps: BackendCaps,
     calibration: CostCalibration,
     cache: ResultCache,
+    /// Field digests by identity, bounded by the cache's entry budget.
+    memo: DigestMemo,
     pending: Vec<(JobTicket, AssessRequest)>,
     next_ticket: u64,
 }
@@ -173,6 +178,7 @@ impl Engine {
             caps: BackendCaps::v100(),
             calibration,
             cache: ResultCache::new(DEFAULT_CACHE_ENTRIES),
+            memo: DigestMemo::new(DEFAULT_CACHE_ENTRIES),
             pending: Vec::new(),
             next_ticket: 0,
             fleet,
@@ -189,6 +195,7 @@ impl Engine {
     /// Replace the result-cache capacity (0 disables caching).
     pub fn with_cache_entries(mut self, entries: usize) -> Self {
         self.cache = ResultCache::new(entries);
+        self.memo = DigestMemo::new(entries);
         self
     }
 
@@ -200,6 +207,12 @@ impl Engine {
     /// Cumulative cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Field digests currently memoized (at most the cache's entry
+    /// budget).
+    pub fn memoized_fields(&self) -> usize {
+        self.memo.map.len()
     }
 
     /// Requests submitted but not yet drained.
@@ -248,36 +261,61 @@ impl Engine {
 
     /// Execute every pending request and return the batch.
     ///
-    /// Fields are generated once per distinct identity (host-parallel,
-    /// index-ordered); execution is sequential in ticket order, so
-    /// duplicate requests inside one batch hit the cache left by their
-    /// predecessor, and results are bit-identical at any worker count.
+    /// A field is generated only when some request of the batch needs its
+    /// values: its digest is not in the engine's memo yet, or the cache
+    /// cannot fully answer a request for it. Those fields are generated
+    /// once per distinct identity, host-parallel and index-ordered. The
+    /// cache is consulted read-only for that prediction; the lookups
+    /// themselves run sequentially in ticket order, so duplicate requests
+    /// inside one batch hit the cache left by their predecessor, and a
+    /// predicted hit that an earlier request's absorb evicted generates
+    /// its field on the spot. Results are bit-identical at any worker
+    /// count and to an engine that generates every field.
     pub fn drain(&mut self) -> BatchReport {
         let pending = std::mem::take(&mut self.pending);
-        // Generate each distinct field once, whatever the requests call it.
-        type FieldId = (AppDataset, usize, usize, usize, u64, usize);
-        let mut index_of: HashMap<FieldId, usize> = HashMap::new();
-        let mut unique: Vec<FieldRef> = Vec::new();
+        // Number each distinct field identity once, in first-seen order.
+        let mut index_of: HashMap<&FieldRef, usize> = HashMap::new();
+        let mut unique: Vec<&FieldRef> = Vec::new();
         let field_of: Vec<usize> = pending
             .iter()
             .map(|(_, req)| {
-                let f = &req.field;
-                let id = (
-                    f.dataset,
-                    f.index,
-                    f.opts.scale,
-                    f.opts.scale_z,
-                    f.opts.seed,
-                    f.steps,
-                );
-                *index_of.entry(id).or_insert_with(|| {
-                    unique.push(f.clone());
+                *index_of.entry(&req.field).or_insert_with(|| {
+                    unique.push(&req.field);
                     unique.len() - 1
                 })
             })
             .collect();
-        let fields = zc_par::par_map(unique.len(), |i| unique[i].generate());
-        let digests = zc_par::par_map(fields.len(), |i| field_digest(&fields[i].data));
+        let plans: Vec<(AssessPlan, Vec<PassKind>)> = pending
+            .iter()
+            .map(|(_, req)| {
+                let plan = AssessPlan::lower(&req.cfg);
+                let needed = plan.passes().iter().map(|p| p.kind).collect();
+                (plan, needed)
+            })
+            .collect();
+        // Which fields the batch needs values of, as the cache stands now.
+        let mut digests: Vec<Option<u64>> = unique.iter().map(|f| self.memo.get(f)).collect();
+        let mut wanted = vec![false; unique.len()];
+        for (seq, (_, req)) in pending.iter().enumerate() {
+            let fi = field_of[seq];
+            wanted[fi] = wanted[fi]
+                || digests[fi]
+                    .is_none_or(|d| !self.cache.covers(&cache_key(d, req), &plans[seq].1));
+        }
+        let to_generate: Vec<usize> = (0..unique.len()).filter(|&i| wanted[i]).collect();
+        let generated = zc_par::par_map(to_generate.len(), |j| {
+            let fi = to_generate[j];
+            let data = unique[fi].generate().data;
+            let digest = digests[fi].unwrap_or_else(|| field_digest(&data));
+            (data, digest)
+        });
+        let mut fields_generated = to_generate.len();
+        let mut fields: Vec<Option<Tensor<f32>>> = vec![None; unique.len()];
+        for (fi, (data, digest)) in to_generate.into_iter().zip(generated) {
+            self.memo.insert(unique[fi], digest);
+            digests[fi] = Some(digest);
+            fields[fi] = Some(data);
+        }
 
         let link = self.fleet.link.model(self.fleet.gpus_per_job);
         let mut results = Vec::with_capacity(pending.len());
@@ -285,17 +323,13 @@ impl Engine {
         let mut costs: Vec<f64> = Vec::new();
         let mut splittable: Vec<usize> = Vec::new();
         let mut repr_cfg: Option<AssessConfig> = None;
-        for (seq, (ticket, req)) in pending.into_iter().enumerate() {
+        for (seq, ((ticket, req), (full_plan, needed))) in pending.iter().zip(plans).enumerate() {
             let fi = field_of[seq];
-            let orig: &Tensor<f32> = &fields[fi].data;
-            let key = CacheKey {
-                digest: digests[fi],
-                compressor: req.compressor.label(),
-                cfg: CfgKey::of(&req.cfg),
-            };
-            let full_plan = AssessPlan::lower(&req.cfg);
-            let needed: Vec<PassKind> = full_plan.passes().iter().map(|p| p.kind).collect();
-            let (cache_outcome, executed_plan, run) = match self.cache.lookup(&key, &needed) {
+            let key = cache_key(
+                digests[fi].expect("every field is memoized or generated"),
+                req,
+            );
+            let (cache_outcome, executed_plan, seed) = match self.cache.lookup(&key, &needed) {
                 Lookup::Full(found) => {
                     let (report, stats) = *found;
                     let report = report.with_compression(stats);
@@ -309,43 +343,42 @@ impl Engine {
                         0,
                     );
                     results.push(JobResult {
-                        ticket,
+                        ticket: *ticket,
                         cache: CacheOutcome::Hit,
                         outcome: JobOutcome::Done(Box::new(m)),
                         report: Some(report),
                     });
                     continue; // no device time: not a fleet record
                 }
-                Lookup::Partial { p1, covered } => {
-                    let residual = AssessPlan::residual(&req.cfg, &covered);
-                    let run = req
-                        .compressor
-                        .build()
-                        .roundtrip(orig)
-                        .map_err(|e| format!("codec: {e}"))
-                        .and_then(|(dec, stats)| {
-                            self.executor
-                                .run_plan_seeded(&residual, orig, &dec, &req.cfg, p1)
-                                .map(|a| (a, stats))
-                                .map_err(|e| format!("assess: {e}"))
-                        });
-                    (CacheOutcome::Partial, residual, run)
-                }
-                Lookup::Miss => {
-                    let run = req
-                        .compressor
-                        .build()
-                        .roundtrip(orig)
-                        .map_err(|e| format!("codec: {e}"))
-                        .and_then(|(dec, stats)| {
-                            self.executor
-                                .run_plan(&full_plan, orig, &dec, &req.cfg)
-                                .map(|a| (a, stats))
-                                .map_err(|e| format!("assess: {e}"))
-                        });
-                    (CacheOutcome::Miss, full_plan, run)
-                }
+                Lookup::Partial { p1, covered } => (
+                    CacheOutcome::Partial,
+                    AssessPlan::residual(&req.cfg, &covered),
+                    Some(p1),
+                ),
+                Lookup::Miss => (CacheOutcome::Miss, full_plan, None),
             };
+            // Only a predicted full hit lacks its field here: an earlier
+            // request of this batch evicted its entry.
+            let orig: &Tensor<f32> = fields[fi].get_or_insert_with(|| {
+                fields_generated += 1;
+                unique[fi].generate().data
+            });
+            let run = req
+                .compressor
+                .build()
+                .roundtrip(orig)
+                .map_err(|e| format!("codec: {e}"))
+                .and_then(|(dec, stats)| {
+                    match seed {
+                        Some(p1) => {
+                            self.executor
+                                .run_plan_seeded(&executed_plan, orig, &dec, &req.cfg, p1)
+                        }
+                        None => self.executor.run_plan(&executed_plan, orig, &dec, &req.cfg),
+                    }
+                    .map(|a| (a, stats))
+                    .map_err(|e| format!("assess: {e}"))
+                });
             // Executed (or failed) on the device: price it for the shard
             // plan and record it for fleet accounting.
             let est = estimate_job_cost(
@@ -389,7 +422,7 @@ impl Engine {
                 attempts: 1,
             });
             results.push(JobResult {
-                ticket,
+                ticket: *ticket,
                 cache: cache_outcome,
                 outcome,
                 report,
@@ -407,6 +440,68 @@ impl Engine {
             results,
             fleet: agg.fleet,
             cache: self.cache.stats(),
+            fields_generated,
+        }
+    }
+}
+
+/// The cache key of a request for a field with this content digest.
+fn cache_key(digest: u64, req: &AssessRequest) -> CacheKey {
+    CacheKey {
+        digest,
+        compressor: req.compressor.label(),
+        cfg: CfgKey::of(&req.cfg),
+    }
+}
+
+/// Content digests of recently drained fields, by identity.
+///
+/// Generation is a pure function of the [`FieldRef`] (the same argument
+/// that lets one drain generate each distinct field once), so a remembered
+/// digest is exactly what regenerating the field would compute. That lets
+/// `drain` build a request's cache key, and skip the field when the cache
+/// answers every request for it, without touching the data. Exact LRU over
+/// a bounded entry count, driven by a logical clock; what it holds changes
+/// how much a drain generates, never what it answers.
+#[derive(Clone, Debug)]
+struct DigestMemo {
+    /// Digest and last-use stamp per field identity.
+    map: HashMap<FieldRef, (u64, u64)>,
+    budget: usize,
+    clock: u64,
+}
+
+impl DigestMemo {
+    fn new(budget: usize) -> Self {
+        DigestMemo {
+            map: HashMap::new(),
+            budget,
+            clock: 0,
+        }
+    }
+
+    /// The field's digest, if remembered; touches its LRU stamp.
+    fn get(&mut self, field: &FieldRef) -> Option<u64> {
+        self.clock += 1;
+        let (digest, last_used) = self.map.get_mut(field)?;
+        *last_used = self.clock;
+        Some(*digest)
+    }
+
+    /// Remember a digest, evicting the least recently used beyond budget.
+    fn insert(&mut self, field: &FieldRef, digest: u64) {
+        self.clock += 1;
+        self.map.insert(field.clone(), (digest, self.clock));
+        while self.map.len() > self.budget {
+            // Stamps are unique, so the victim is too, whatever the
+            // map's iteration order.
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, &(_, last_used))| last_used)
+                .map(|(f, _)| f.clone())
+                .expect("non-empty map over budget");
+            self.map.remove(&victim);
         }
     }
 }
@@ -523,7 +618,7 @@ mod tests {
     use super::*;
     use crate::metrics::{Metric, MetricSelection};
     use zc_compress::ErrorBound;
-    use zc_data::GenOptions;
+    use zc_data::{AppDataset, GenOptions};
 
     fn request(metrics: MetricSelection) -> AssessRequest {
         AssessRequest {

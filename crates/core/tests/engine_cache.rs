@@ -6,12 +6,13 @@
 //! produce sections bit-identical to a cold full run — on every executor,
 //! since the cache sits above the executor choice. The remaining tests pin
 //! the key semantics (metric selection is coverage, not key; value-affecting
-//! knobs are key) and that LRU eviction only ever costs re-runs, never
-//! correctness.
+//! knobs are key), that LRU eviction only ever costs re-runs, never
+//! correctness, and that generating fields only on a cache miss changes
+//! how much a drain generates, never what it answers.
 
 use zc_compress::{CompressorSpec, ErrorBound};
 use zc_core::campaign::{FieldRef, FleetSpec, JobOutcome};
-use zc_core::engine::{AssessRequest, CacheOutcome, Engine};
+use zc_core::engine::{AssessRequest, CacheOutcome, Engine, JobResult};
 use zc_core::exec::{CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::metrics::{Metric, MetricSelection};
 use zc_core::plan::{AssessPlan, PassKind};
@@ -201,4 +202,104 @@ fn eviction_never_changes_metric_values() {
         "the 1-entry cache must actually have thrashed: {:?}",
         tiny.cache_stats()
     );
+}
+
+/// Every value-derived metric of two completed results, as exact bits
+/// (the codec throughputs are wall-clock and excluded).
+fn assert_same_answer(a: &JobResult, b: &JobResult, what: &str) {
+    let (ra, rb) = (a.report.as_ref(), b.report.as_ref());
+    let (ra, rb) = (
+        ra.unwrap_or_else(|| panic!("{what}: first side has no report")),
+        rb.unwrap_or_else(|| panic!("{what}: second side has no report")),
+    );
+    let wall_clock = [
+        Metric::CompressionThroughput,
+        Metric::DecompressionThroughput,
+    ];
+    for m in Metric::ALL.into_iter().filter(|m| !wall_clock.contains(m)) {
+        assert_eq!(
+            ra.scalar(m).map(f64::to_bits),
+            rb.scalar(m).map(f64::to_bits),
+            "{what}: {m:?} differs"
+        );
+    }
+    assert_eq!(ra.stencil, rb.stencil, "{what}: stencil");
+    assert_eq!(ra.ssim, rb.ssim, "{what}: ssim");
+}
+
+#[test]
+fn warm_drain_generates_no_fields_and_answers_identically() {
+    let mut engine = Engine::new(FleetSpec::nvlink(1)).unwrap();
+    let batch = || {
+        [(MetricSelection::all(), 0), (MetricSelection::all(), 1)]
+            .map(|(m, seed)| request(m, seed))
+            .into_iter()
+            .chain([request(MetricSelection::none().with(Metric::Psnr), 0)])
+    };
+    for req in batch() {
+        engine.submit(req).unwrap();
+    }
+    let cold = engine.drain();
+    assert_eq!(cold.fields_generated, 2, "two distinct fields, both new");
+    for req in batch() {
+        engine.submit(req).unwrap();
+    }
+    let warm = engine.drain();
+    assert_eq!(warm.fields_generated, 0, "every request is a full hit");
+    for (i, (c, w)) in cold.results.iter().zip(&warm.results).enumerate() {
+        assert_eq!(w.cache, CacheOutcome::Hit, "request {i}");
+        assert_same_answer(c, w, &format!("request {i}"));
+    }
+}
+
+#[test]
+fn mid_batch_eviction_falls_back_to_generating_the_field() {
+    // 1-entry cache: drain [B], then [A, B]. Before the second batch, B
+    // looks like a full hit, so only A is generated up front; A's absorb
+    // then evicts B, and B's lookup misses and generates it on demand.
+    let (a, b) = (1, 2);
+    let mut tiny = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(1);
+    let mut uncached = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(0);
+    for batch in [vec![b], vec![a, b]] {
+        for &seed in &batch {
+            tiny.submit(request(MetricSelection::all(), seed)).unwrap();
+            uncached
+                .submit(request(MetricSelection::all(), seed))
+                .unwrap();
+        }
+        let (x, y) = (tiny.drain(), uncached.drain());
+        for (i, (rx, ry)) in x.results.iter().zip(&y.results).enumerate() {
+            assert_same_answer(rx, ry, &format!("batch {batch:?}, request {i}"));
+        }
+        if batch.len() == 2 {
+            assert_eq!(x.results[1].cache, CacheOutcome::Miss, "B was evicted");
+            assert_eq!(x.fields_generated, 2, "A up front, B on demand");
+        }
+    }
+    assert_eq!(tiny.cache_stats().evictions, 2);
+}
+
+#[test]
+fn digest_memo_never_outgrows_the_cache_budget() {
+    let budget = 2;
+    let mut engine = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(budget);
+    for seed in 0..5 {
+        engine
+            .submit(request(MetricSelection::none().with(Metric::Psnr), seed))
+            .unwrap();
+        let batch = engine.drain();
+        assert_eq!(batch.fields_generated, 1, "seed {seed} is a fresh field");
+        assert!(
+            engine.memoized_fields() <= budget,
+            "seed {seed}: {} memoized digests over a budget of {budget}",
+            engine.memoized_fields()
+        );
+    }
+    assert_eq!(engine.memoized_fields(), budget);
 }

@@ -23,7 +23,7 @@ pub enum AppDataset {
 }
 
 /// Generation options shared by all fields of a dataset.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GenOptions {
     /// Divide the x and y extents by this factor (≥1). 1 = paper shapes.
     pub scale: usize,

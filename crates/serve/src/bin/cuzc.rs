@@ -702,6 +702,11 @@ fn run_serve_demo(args: &Args) -> Result<ExitCode, String> {
     let trace = RequestTrace::synthetic(seed, count);
     let report = server.run_trace(&trace);
     print!("{}", report.render_table());
+    println!(
+        "fields generated {} for {} requests",
+        report.fields_generated,
+        report.completed + report.failed
+    );
     let verdict = sanitizer_verdict()?;
     if verdict != ExitCode::SUCCESS {
         return Ok(verdict);

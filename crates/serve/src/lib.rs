@@ -283,6 +283,10 @@ pub struct ServeReport {
     pub assessed_bytes: u64,
     /// Engine cache counters after the run.
     pub cache: CacheStats,
+    /// Fields the session's drained batches generated, cumulative like
+    /// `cache` (a batch skips fields whose every request the cache
+    /// answered).
+    pub fields_generated: usize,
     /// Modeled completion time of the last batch (seconds).
     pub makespan_s: f64,
 }
@@ -348,6 +352,8 @@ pub struct Server {
     tenant_queued: Vec<usize>,
     /// (ticket, tenant, arrival) of queued requests, in ticket order.
     queued: Vec<(JobTicket, u32, f64)>,
+    /// Fields generated by every batch drained so far.
+    fields_generated: usize,
 }
 
 impl Server {
@@ -365,6 +371,7 @@ impl Server {
             queued_est_s: 0.0,
             tenant_queued: Vec::new(),
             queued: Vec::new(),
+            fields_generated: 0,
         })
     }
 
@@ -420,6 +427,7 @@ impl Server {
         }
         let start = self.free_at_s.max(now_s);
         let batch = self.engine.drain();
+        self.fields_generated += batch.fields_generated;
         let completion = start + batch.fleet.makespan_s;
         self.free_at_s = completion;
         self.queued_est_s = 0.0;
@@ -528,6 +536,7 @@ impl Server {
             p99_latency_s: percentile(&latencies, 0.99),
             assessed_bytes,
             cache: self.cache_stats(),
+            fields_generated: self.fields_generated,
             makespan_s: last_completion,
         }
     }

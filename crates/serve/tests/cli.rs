@@ -244,6 +244,7 @@ fn serve_demo_runs_the_service_loop() {
         "jobs/s (modeled)",
         "cache hit rate",
         "p99 latency (ms)",
+        "fields generated",
     ] {
         assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
     }
